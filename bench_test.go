@@ -159,22 +159,31 @@ func BenchmarkWaterFillBisect(b *testing.B) {
 	}
 }
 
-// BenchmarkBestResponse measures one OLEV's utility maximization.
+// BenchmarkBestResponse measures one OLEV's quote and utility
+// maximization on a reused Ψ kernel — Reset against the background,
+// Lemma IV.3's best response, Lemma IV.1's fill — the work every
+// solver does per update. It allocates nothing.
 func BenchmarkBestResponse(b *testing.B) {
-	v, err := core.NewQuadraticCharging(0.02, 0.875, 53.55)
+	q, err := core.NewQuadraticCharging(0.02, 0.875, 53.55)
 	if err != nil {
 		b.Fatal(err)
 	}
-	psi := core.NewPaymentFunction(v, buildWaterFillInput(100))
-	sat := core.LogSatisfaction{Weight: 1}
+	var v core.CostFunction = q // boxed once, as a Game holds it
+	others := buildWaterFillInput(100)
+	row := make([]float64, len(others))
+	var sat core.Satisfaction = core.LogSatisfaction{Weight: 1}
+	var psi core.PaymentFunction
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.BestResponse(sat, psi, 95.76)
+		psi.Reset(v, others, 0)
+		psi.Fill(row, psi.BestResponse(sat, 95.76))
 	}
 }
 
-// BenchmarkGameUpdate measures one full asynchronous update (quote +
-// best response + water-fill install) in a 50×100 game.
+// BenchmarkGameUpdate measures one full asynchronous update in a
+// 50×100 game: snapshot P_−n, re-quote the Ψ kernel, best-respond,
+// fill and install the row.
 func BenchmarkGameUpdate(b *testing.B) {
 	_, players, err := pricing.BuildFleet(pricing.FleetConfig{
 		N: 50, Velocity: units.MPH(60), SatisfactionWeight: 1, Seed: 1,
@@ -192,6 +201,7 @@ func BenchmarkGameUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.UpdateOne(i % 50)

@@ -1,9 +1,10 @@
 // Command bench-core measures the equilibrium hot path of the Section
 // IV game on the acceptance workload (N=50 OLEVs, C=100 sections) and
 // emits machine-readable BENCH_core.json: convergence cost and
-// steady-state ns/turn + allocs/turn for the legacy asynchronous
-// solver, the round engine at one worker, and the round engine at
-// GOMAXPROCS workers, plus the resulting steady-state speedup.
+// steady-state ns/turn + allocs/turn for Game.Run (the round engine
+// at batch size 1), the round engine at one worker, and the round
+// engine at GOMAXPROCS workers, plus the resulting steady-state
+// speedup.
 //
 // It also measures what arming the obs metrics bundle costs the same
 // hot path (interleaved best-of-k bare-vs-armed trials on one host);
@@ -32,8 +33,9 @@ import (
 	"olevgrid/internal/obs"
 )
 
-// asyncBench is the legacy Game.Run measurement kept alongside the
-// engine's steady-state numbers for reference.
+// asyncBench is the end-to-end Game.Run measurement (exact
+// Gauss–Seidel, one update per block) kept alongside the engine's
+// steady-state numbers for reference.
 type asyncBench struct {
 	Updates   int     `json:"updates"`
 	Converged bool    `json:"converged"`
@@ -94,7 +96,7 @@ func run() error {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 
-	// Legacy asynchronous solver, timed end to end.
+	// Game.Run — the asynchronous dynamics — timed end to end.
 	g, err := newGame(*n, *c)
 	if err != nil {
 		return err

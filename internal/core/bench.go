@@ -50,23 +50,18 @@ func BenchSteadyState(g *Game, parallelism, maxRounds, steadyRounds int, tol flo
 	e := newRoundEngine(g, parallelism, DefaultBatchSize, tol)
 	defer e.stop()
 
-	rep := SteadyStateBench{Parallelism: e.workers, SteadyRounds: steadyRounds}
-	for round := 1; round <= maxRounds; round++ {
-		rep.ConvergeRounds = round
-		if e.round() < tol {
-			rep.Converged = true
-			break
-		}
-	}
+	res := e.loop(ParallelOptions{MaxRounds: maxRounds, Tolerance: tol}, 0, nil)
+	rep := SteadyStateBench{Parallelism: e.workers, SteadyRounds: steadyRounds,
+		ConvergeRounds: res.Rounds, Converged: res.Converged}
 
 	// One warm-up round after convergence, then measure.
-	e.round()
+	e.round(nil)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	startT := time.Now()
 	for i := 0; i < steadyRounds; i++ {
-		e.round()
+		e.round(nil)
 	}
 	elapsed := time.Since(startT)
 	runtime.ReadMemStats(&after)
@@ -116,18 +111,14 @@ func BenchMetricsOverhead(g *Game, parallelism, steadyRounds, trials int, m *Met
 	}
 	e := newRoundEngine(g, parallelism, DefaultBatchSize, 1e-6)
 	defer e.stop()
-	for round := 1; round <= 2000; round++ {
-		if e.round() < 1e-6 {
-			break
-		}
-	}
-	e.round() // warm-up on the converged state
+	e.loop(ParallelOptions{MaxRounds: 2000, Tolerance: 1e-6}, 0, nil)
+	e.round(nil) // warm-up on the converged state
 
 	turns := float64(steadyRounds * e.n)
 	trial := func(m *Metrics) float64 {
 		start := time.Now()
 		for i := 0; i < steadyRounds; i++ {
-			d := e.round()
+			d := e.round(nil)
 			m.observeRound(i+1, d, e.welfare(), e.congestion())
 		}
 		return float64(time.Since(start).Nanoseconds()) / turns

@@ -2,8 +2,6 @@ package core
 
 // bestResponseIterations halvings of [0, pmax] resolve p* to
 // pmax·2^-64 — below float64 resolution for any physical power level.
-// The parallel round engine's proposal bisection uses the same count
-// so the two solvers stay bit-compatible.
 const bestResponseIterations = 64
 
 // BestResponse solves Lemma IV.3: the total power request p* that
@@ -19,15 +17,30 @@ const bestResponseIterations = 64
 //	otherwise       →  the unique root of F'_n in (0, pmax)
 //
 // The request is additionally clamped to what the quoted schedule can
-// physically place (MaxAllocatable, finite under an Eq. (3) draw cap).
-func BestResponse(sat Satisfaction, psi *PaymentFunction, pmax float64) float64 {
-	if ceiling := psi.MaxAllocatable(); pmax > ceiling {
+// physically place (C·drawCap under an Eq. (3) draw cap).
+func (f *PaymentFunction) BestResponse(sat Satisfaction, pmax float64) float64 {
+	if ceiling := f.maxAllocatable(); pmax > ceiling {
 		pmax = ceiling
 	}
 	if pmax <= 0 {
 		return 0
 	}
-	deriv := func(p float64) float64 { return sat.Marginal(p) - psi.Marginal(p) }
+	// The bisection evaluates deriv dozens of times, so U' has a
+	// concrete fast path for the evaluation's LogSatisfaction that
+	// performs the same operations as its Marginal method.
+	logSat, isLog := sat.(LogSatisfaction)
+	deriv := func(p float64) float64 {
+		var u float64
+		if isLog {
+			if p < 0 {
+				p = 0
+			}
+			u = logSat.Weight / (1 + p)
+		} else {
+			u = sat.Marginal(p)
+		}
+		return u - f.Marginal(p)
+	}
 
 	if deriv(0) <= 0 {
 		return 0

@@ -10,10 +10,10 @@ import (
 func TestBestResponseInteriorMaximizesUtility(t *testing.T) {
 	z := testCost(t)
 	others := []float64{5, 15, 0}
-	psi := NewPaymentFunction(z, others)
+	psi := quote(z, others, 0)
 	u := LogSatisfaction{Weight: 1}
 
-	p := BestResponse(u, psi, 500)
+	p := psi.BestResponse(u, 500)
 	if p <= 0 || p >= 500 {
 		t.Fatalf("expected interior optimum, got %v", p)
 	}
@@ -36,9 +36,9 @@ func TestBestResponseCornerZero(t *testing.T) {
 	// marginal satisfaction → request nothing.
 	z := testCost(t)
 	// Extremely loaded sections: Z' at the water level is huge.
-	psi := NewPaymentFunction(z, []float64{500, 500})
+	psi := quote(z, []float64{500, 500}, 0)
 	u := LogSatisfaction{Weight: 0.001}
-	if p := BestResponse(u, psi, 100); p != 0 {
+	if p := psi.BestResponse(u, 100); p != 0 {
 		t.Errorf("BestResponse = %v, want 0", p)
 	}
 }
@@ -47,19 +47,19 @@ func TestBestResponseCornerMax(t *testing.T) {
 	// Lemma IV.3 case 2: satisfaction dominates even at pmax → take
 	// the ceiling P^OLEV_n.
 	z := testCost(t)
-	psi := NewPaymentFunction(z, []float64{0, 0, 0, 0})
+	psi := quote(z, []float64{0, 0, 0, 0}, 0)
 	u := LogSatisfaction{Weight: 1000}
-	if p := BestResponse(u, psi, 50); p != 50 {
+	if p := psi.BestResponse(u, 50); p != 50 {
 		t.Errorf("BestResponse = %v, want pmax 50", p)
 	}
 }
 
 func TestBestResponseZeroPmax(t *testing.T) {
-	psi := NewPaymentFunction(testCost(t), []float64{1})
-	if p := BestResponse(LogSatisfaction{Weight: 1}, psi, 0); p != 0 {
+	psi := quote(testCost(t), []float64{1}, 0)
+	if p := psi.BestResponse(LogSatisfaction{Weight: 1}, 0); p != 0 {
 		t.Errorf("BestResponse with pmax=0 = %v", p)
 	}
-	if p := BestResponse(LogSatisfaction{Weight: 1}, psi, -3); p != 0 {
+	if p := psi.BestResponse(LogSatisfaction{Weight: 1}, -3); p != 0 {
 		t.Errorf("BestResponse with negative pmax = %v", p)
 	}
 }
@@ -67,9 +67,9 @@ func TestBestResponseZeroPmax(t *testing.T) {
 func TestBestResponseSqrtSatisfaction(t *testing.T) {
 	// The machinery must work for any strictly concave U.
 	z := testCost(t)
-	psi := NewPaymentFunction(z, []float64{2, 4})
+	psi := quote(z, []float64{2, 4}, 0)
 	u := SqrtSatisfaction{Weight: 0.5}
-	p := BestResponse(u, psi, 300)
+	p := psi.BestResponse(u, 300)
 	if p <= 0 {
 		t.Fatal("expected positive request")
 	}
@@ -90,10 +90,10 @@ func TestBestResponseRandomInstancesNeverBeaten(t *testing.T) {
 		for i := range others {
 			others[i] = r.Float64() * 60
 		}
-		psi := NewPaymentFunction(z, others)
+		psi := quote(z, others, 0)
 		u := LogSatisfaction{Weight: 0.1 + r.Float64()*3}
 		pmax := 1 + r.Float64()*150
-		p := BestResponse(u, psi, pmax)
+		p := psi.BestResponse(u, pmax)
 		if p < 0 || p > pmax {
 			t.Fatalf("BestResponse %v outside [0, %v]", p, pmax)
 		}

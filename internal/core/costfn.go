@@ -119,48 +119,69 @@ func (o OverloadPenalty) Marginal(x float64) float64 {
 	return o.Kappa * over / o.Capacity
 }
 
-// marginalOf returns a devirtualized marginal evaluator for the cost
-// compositions the experiments actually run — SectionCost over the
-// quadratic or linear charging curve with the overload penalty — and
-// falls back to the interface method for anything else. The
-// specialized closures perform the same floating-point operations in
-// the same order as the Marginal methods they shortcut, so results
-// are bit-identical; they exist only to strip the double interface
-// dispatch out of the best-response bisection, the round engine's
-// hottest loop.
-func marginalOf(cost CostFunction) func(float64) float64 {
+// zPrime is a section cost's Z' with the interface dispatch stripped
+// for the compositions the experiments actually run — SectionCost over
+// the quadratic or linear charging curve with the overload penalty —
+// falling back to the interface method for anything else. The
+// specialized branches perform the same floating-point operations in
+// the same order as the Marginal methods they shortcut, so results are
+// bit-identical; they exist only to take the double interface dispatch
+// out of the best-response bisection, the solvers' hottest loop. It is
+// a plain value, so re-quoting a PaymentFunction never allocates.
+type zPrime struct {
+	kind zPrimeKind
+	cost CostFunction // the fallback
+	q    QuadraticCharging
+	l    LinearCharging
+	o    OverloadPenalty
+}
+
+type zPrimeKind uint8
+
+const (
+	zPrimeGeneric zPrimeKind = iota
+	zPrimeQuadratic
+	zPrimeLinear
+)
+
+func newZPrime(cost CostFunction) zPrime {
+	m := zPrime{cost: cost}
 	sc, ok := cost.(SectionCost)
 	if !ok {
-		return cost.Marginal
+		return m
 	}
-	o, ok := sc.Overload.(OverloadPenalty)
-	if !ok {
-		return cost.Marginal
+	if m.o, ok = sc.Overload.(OverloadPenalty); !ok {
+		return m
 	}
 	switch q := sc.Charging.(type) {
 	case QuadraticCharging:
-		return func(x float64) float64 {
-			if x < 0 {
-				x = 0
-			}
-			u := q.Alpha + x/q.Capacity
-			norm := (q.Alpha + 1) * (q.Alpha + 1)
-			m := q.Beta * (u*u + 2*x*u/q.Capacity) / norm
-			if over := x - o.Capacity; over > 0 {
-				m += o.Kappa * over / o.Capacity
-			}
-			return m
-		}
+		m.kind, m.q = zPrimeQuadratic, q
 	case LinearCharging:
-		return func(x float64) float64 {
-			m := q.Beta
-			if over := x - o.Capacity; over > 0 {
-				m += o.Kappa * over / o.Capacity
-			}
-			return m
-		}
+		m.kind, m.l = zPrimeLinear, q
 	}
-	return cost.Marginal
+	return m
+}
+
+func (m *zPrime) at(x float64) float64 {
+	var d float64
+	switch m.kind {
+	case zPrimeQuadratic:
+		q := &m.q
+		if x < 0 {
+			x = 0
+		}
+		u := q.Alpha + x/q.Capacity
+		norm := (q.Alpha + 1) * (q.Alpha + 1)
+		d = q.Beta * (u*u + 2*x*u/q.Capacity) / norm
+	case zPrimeLinear:
+		d = m.l.Beta
+	default:
+		return m.cost.Marginal(x)
+	}
+	if over := x - m.o.Capacity; over > 0 {
+		d += m.o.Kappa * over / m.o.Capacity
+	}
+	return d
 }
 
 // SectionCost is Z(·) = V(·) + A(· − ηP_line) of Eq. (6): the total

@@ -232,11 +232,51 @@ func TestDifferentialEngineVsAsynchronous(t *testing.T) {
 	}
 }
 
+// propertyEngines are the shipped engine paths the invariant suite
+// runs on: Game.Run (the round engine at BatchSize 1, exact
+// Gauss–Seidel) and RunParallel's speculative blocks under the
+// welfare guard.
+var propertyEngines = []struct {
+	name string
+	run  func(g *Game) (converged bool, welfare []float64)
+}{
+	{"run", func(g *Game) (bool, []float64) {
+		res := g.Run(RunOptions{Tolerance: 1e-9, MaxUpdates: 5000 * g.NumPlayers()})
+		return res.Converged, res.Welfare
+	}},
+	{"parallel", func(g *Game) (bool, []float64) {
+		res := g.RunParallel(ParallelOptions{Tolerance: 1e-9, MaxRounds: 5000, Parallelism: 4})
+		return res.Converged, res.Welfare
+	}},
+}
+
+// solveForProperties runs one engine path on a fresh game from cfg and
+// asserts convergence and a nondecreasing welfare trajectory
+// (Theorem IV.1, plus the guard on the speculative path).
+func solveForProperties(t *testing.T, cfg Config, run func(*Game) (bool, []float64)) *Game {
+	t.Helper()
+	g, err := NewGame(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	converged, welfare := run(g)
+	if !converged {
+		t.Fatal("did not converge")
+	}
+	for i := 1; i < len(welfare); i++ {
+		slack := welfareGuardRelEps * (1 + math.Abs(welfare[i-1]))
+		if welfare[i] < welfare[i-1]-slack {
+			t.Fatalf("welfare regressed at update %d: %v -> %v", i+1, welfare[i-1], welfare[i])
+		}
+	}
+	return g
+}
+
 // TestPropertyEquilibrium checks the paper's equilibrium structure on
-// randomized instances after a RunParallel solve:
+// randomized instances after a solve on every engine path:
 //
-//   - welfare is nondecreasing round over round (Theorem IV.1 plus the
-//     engine's guard),
+//   - welfare is nondecreasing update over update (Theorem IV.1 plus
+//     the engine's guard),
 //   - water-filling KKT flatness: each player's active, uncapped
 //     sections sit at a common level P_−n,c + p̂_n,c = λ_n, inactive
 //     sections have background ≥ λ_n, capped sections sit below it,
@@ -247,78 +287,77 @@ func TestPropertyEquilibrium(t *testing.T) {
 		nonlinear := trial%2 == 0
 		cfg := randomInstance(t, rng, nonlinear)
 		t.Run(fmt.Sprintf("trial%02d_nonlinear%v", trial, nonlinear), func(t *testing.T) {
-			g, err := NewGame(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := g.RunParallel(ParallelOptions{Tolerance: 1e-9, MaxRounds: 5000, Parallelism: 4})
-			if !res.Converged {
-				t.Fatal("did not converge")
-			}
-			for i := 1; i < len(res.Welfare); i++ {
-				slack := welfareGuardRelEps * (1 + math.Abs(res.Welfare[i-1]))
-				if res.Welfare[i] < res.Welfare[i-1]-slack {
-					t.Fatalf("welfare regressed at round %d: %v -> %v", i+1, res.Welfare[i-1], res.Welfare[i])
-				}
-			}
-
-			s := g.Schedule()
-			totals := g.SectionTotals()
-			const active = 1e-7
-			for n := 0; n < len(cfg.Players); n++ {
-				drawCap := cfg.Players[n].MaxSectionDrawKW
-				level, haveLevel := 0.0, false
-				// Uncapped active sections must share one water level.
-				for c := 0; c < cfg.NumSections; c++ {
-					a := s.At(n, c)
-					if a <= active || (drawCap > 0 && a >= drawCap-active) {
-						continue
-					}
-					l := totals[c] // P_−n,c + p̂_n,c
-					if !haveLevel {
-						level, haveLevel = l, true
-						continue
-					}
-					if d := math.Abs(l - level); d > 1e-5*(1+math.Abs(level)) {
-						t.Fatalf("player %d: active sections not flat: %v vs %v", n, l, level)
-					}
-				}
-				if !haveLevel {
-					continue
-				}
-				for c := 0; c < cfg.NumSections; c++ {
-					a := s.At(n, c)
-					background := totals[c] - a
-					switch {
-					case a <= active:
-						// Inactive: background already at or above the level.
-						if background < level-1e-4*(1+math.Abs(level)) {
-							t.Fatalf("player %d section %d: inactive but background %v below level %v",
-								n, c, background, level)
-						}
-					case drawCap > 0 && a >= drawCap-active:
-						// Capped: would pour more if allowed.
-						if totals[c] > level+1e-4*(1+math.Abs(level)) {
-							t.Fatalf("player %d section %d: capped yet above level (%v > %v)",
-								n, c, totals[c], level)
+			for _, eng := range propertyEngines {
+				t.Run(eng.name, func(t *testing.T) {
+					g := solveForProperties(t, cfg, eng.run)
+					checkKKTFlatness(t, g.Schedule(), func(n int) float64 {
+						return cfg.Players[n].MaxSectionDrawKW
+					})
+					for n := 0; n < len(cfg.Players); n++ {
+						if xi := g.PaymentOf(n); xi < -1e-9 {
+							t.Fatalf("player %d payment negative: %v", n, xi)
 						}
 					}
-				}
-			}
-
-			for n := 0; n < len(cfg.Players); n++ {
-				if xi := g.PaymentOf(n); xi < -1e-9 {
-					t.Fatalf("player %d payment negative: %v", n, xi)
-				}
+				})
 			}
 		})
 	}
 }
 
+// checkKKTFlatness asserts Lemma IV.1's water-filling structure on
+// every row of s: a player's active sections below its draw cap share
+// one level P_−n,c + p̂_n,c = λ_n, inactive sections have background at
+// or above it, and capped sections sit at or below it.
+func checkKKTFlatness(t *testing.T, s *Schedule, drawCapOf func(n int) float64) {
+	t.Helper()
+	totals := s.SectionTotals()
+	const active = 1e-7
+	for n := 0; n < s.NumOLEVs(); n++ {
+		drawCap := drawCapOf(n)
+		level, haveLevel := 0.0, false
+		// Uncapped active sections must share one water level.
+		for c := 0; c < s.NumSections(); c++ {
+			a := s.At(n, c)
+			if a <= active || (drawCap > 0 && a >= drawCap-active) {
+				continue
+			}
+			l := totals[c] // P_−n,c + p̂_n,c
+			if !haveLevel {
+				level, haveLevel = l, true
+				continue
+			}
+			if d := math.Abs(l - level); d > 1e-5*(1+math.Abs(level)) {
+				t.Fatalf("player %d: active sections not flat: %v vs %v", n, l, level)
+			}
+		}
+		if !haveLevel {
+			continue
+		}
+		for c := 0; c < s.NumSections(); c++ {
+			a := s.At(n, c)
+			background := totals[c] - a
+			switch {
+			case a <= active:
+				// Inactive: background already at or above the level.
+				if background < level-1e-4*(1+math.Abs(level)) {
+					t.Fatalf("player %d section %d: inactive but background %v below level %v",
+						n, c, background, level)
+				}
+			case drawCap > 0 && a >= drawCap-active:
+				// Capped: would pour more if allowed.
+				if totals[c] > level+1e-4*(1+math.Abs(level)) {
+					t.Fatalf("player %d section %d: capped yet above level (%v > %v)",
+						n, c, totals[c], level)
+				}
+			}
+		}
+	}
+}
+
 // TestPropertyBudgetFeasibility: under the Eq. (6) overload penalty the
 // equilibrium respects the soft budget P_c ≤ ηP_line up to the
-// KKT-implied slack. A player active on section c has
-// Z'(P_c) ≤ U'_n(p_n) ≤ U'_n(0), and the penalty marginal is
+// KKT-implied slack, on every engine path. A player active on section
+// c has Z'(P_c) ≤ U'_n(p_n) ≤ U'_n(0), and the penalty marginal is
 // κ·(P_c − cap)/cap, so the overshoot is at most maxU'(0)·cap/κ.
 func TestPropertyBudgetFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -345,24 +384,21 @@ func TestPropertyBudgetFeasibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := NewGame(Config{
+		cfg := Config{
 			Players: players, NumSections: c, LineCapacityKW: lineCap, Eta: eta,
 			Cost: SectionCost{
 				Charging: v,
 				Overload: OverloadPenalty{Kappa: kappa, Capacity: capacity},
 			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := g.RunParallel(ParallelOptions{Tolerance: 1e-9, MaxRounds: 5000, Parallelism: 2}); !res.Converged {
-			t.Fatal("did not converge")
 		}
 		bound := capacity + maxMarg*capacity/kappa + 1e-6
-		for sec, total := range g.SectionTotals() {
-			if total > bound {
-				t.Fatalf("trial %d section %d: load %v exceeds budget bound %v (cap %v)",
-					trial, sec, total, bound, capacity)
+		for _, eng := range propertyEngines {
+			g := solveForProperties(t, cfg, eng.run)
+			for sec, total := range g.SectionTotals() {
+				if total > bound {
+					t.Fatalf("%s trial %d section %d: load %v exceeds budget bound %v (cap %v)",
+						eng.name, trial, sec, total, bound, capacity)
+				}
 			}
 		}
 	}

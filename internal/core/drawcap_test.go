@@ -87,16 +87,19 @@ func TestPerDrawWaterFillInvariants(t *testing.T) {
 
 func TestPaymentFunctionWithDrawCap(t *testing.T) {
 	z := testCost(t)
-	base := NewPaymentFunction(z, []float64{2, 9, 4})
-	capped := base.WithDrawCap(3)
+	base := quote(z, []float64{2, 9, 4}, 0)
+	capped := quote(z, []float64{2, 9, 4}, 3)
 
-	if got := base.MaxAllocatable(); !math.IsInf(got, 1) {
-		t.Errorf("uncapped MaxAllocatable = %v", got)
+	// The draw cap bounds what the quote can place: C·drawCap = 9
+	// capped, unbounded otherwise.
+	greedy := LogSatisfaction{Weight: 1e6}
+	if got := base.BestResponse(greedy, 500); got != 500 {
+		t.Errorf("uncapped insatiable request = %v, want pmax 500", got)
 	}
-	if got := capped.MaxAllocatable(); got != 9 {
-		t.Errorf("capped MaxAllocatable = %v, want 9", got)
+	if got := capped.BestResponse(greedy, 500); got != 9 {
+		t.Errorf("capped insatiable request = %v, want allocatable 9", got)
 	}
-	for _, a := range capped.Schedule(8) {
+	for _, a := range schedule(capped, 8) {
 		if a > 3+1e-9 {
 			t.Errorf("capped schedule draws %v", a)
 		}
@@ -118,11 +121,18 @@ func TestPaymentFunctionWithDrawCap(t *testing.T) {
 
 func TestBestResponseRespectsDrawCap(t *testing.T) {
 	z := testCost(t)
-	psi := NewPaymentFunction(z, []float64{0, 0}).WithDrawCap(5)
+	psi := quote(z, []float64{0, 0}, 5)
 	// Insatiable demand: the request must stop at C·drawCap = 10.
-	got := BestResponse(LogSatisfaction{Weight: 1000}, psi, 500)
+	got := psi.BestResponse(LogSatisfaction{Weight: 1000}, 500)
 	if math.Abs(got-10) > 1e-9 {
 		t.Errorf("BestResponse = %v, want allocatable ceiling 10", got)
+	}
+	// At the ceiling every section saturates, whatever the background.
+	psi.Reset(z, []float64{0, 7}, 5)
+	for c, a := range schedule(psi, psi.BestResponse(LogSatisfaction{Weight: 1000}, 500)) {
+		if a != 5 {
+			t.Errorf("saturated section %d draws %v, want the cap 5", c, a)
+		}
 	}
 }
 

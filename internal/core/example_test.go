@@ -16,15 +16,16 @@ func ExampleWaterFill() {
 	// alloc: [7.5 2.5 0.0] kW at water level 7.5 kW
 }
 
-// ExampleBestResponse shows one OLEV's utility-maximizing request
-// against a quoted payment function.
-func ExampleBestResponse() {
+// ExamplePaymentFunction_BestResponse shows one OLEV's
+// utility-maximizing request against a quoted payment function.
+func ExamplePaymentFunction_BestResponse() {
 	v, err := core.NewQuadraticCharging(0.02, 0.875, 50)
 	if err != nil {
 		panic(err)
 	}
-	psi := core.NewPaymentFunction(v, []float64{10, 10, 10})
-	request := core.BestResponse(core.LogSatisfaction{Weight: 1}, psi, 95.76)
+	var psi core.PaymentFunction
+	psi.Reset(v, []float64{10, 10, 10}, 0) // P_−n per section, no draw cap
+	request := psi.BestResponse(core.LogSatisfaction{Weight: 1}, 95.76)
 	fmt.Printf("request %.1f kW\n", request)
 	// Output:
 	// request 49.7 kW

@@ -209,7 +209,7 @@ func TestEquilibriumIsNashNoProfitableDeviation(t *testing.T) {
 	r := stats.NewRand(23)
 	for n := 0; n < g.NumPlayers(); n++ {
 		current := g.UtilityOf(n)
-		psi := g.QuotePayment(n)
+		psi := quote(g.cfg.Cost, g.schedule.OthersSectionTotals(n), g.Player(n).MaxSectionDrawKW)
 		u := g.Player(n).Satisfaction
 		for i := 0; i < 200; i++ {
 			q := r.Float64() * g.Player(n).MaxPowerKW

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"olevgrid/internal/obs"
@@ -176,8 +175,10 @@ func TestRunParallelRecordsPerRoundTrajectories(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	if len(res.Welfare) != res.Rounds || len(res.Congestion) != res.Rounds {
-		t.Fatalf("trajectory lengths %d/%d != rounds %d", len(res.Welfare), len(res.Congestion), res.Rounds)
+	// OnRound fires once per round; the trajectories hold one entry
+	// per update, like Game.Run's.
+	if len(res.Welfare) != res.Updates || len(res.Congestion) != res.Updates {
+		t.Fatalf("trajectory lengths %d/%d != updates %d", len(res.Welfare), len(res.Congestion), res.Updates)
 	}
 	if observed != res.Rounds {
 		t.Fatalf("OnRound saw %d rounds, result says %d", observed, res.Rounds)
@@ -202,11 +203,11 @@ func TestRoundEngineSteadyStateZeroAllocs(t *testing.T) {
 	// Converge first: steady-state turns then re-propose the same
 	// targets and install no-op rows.
 	for i := 0; i < 2000; i++ {
-		if e.round() < 1e-9 {
+		if e.round(nil) < 1e-9 {
 			break
 		}
 	}
-	allocs := testing.AllocsPerRun(50, func() { e.round() })
+	allocs := testing.AllocsPerRun(50, func() { e.round(nil) })
 	if allocs != 0 {
 		t.Fatalf("steady-state round allocates %v times, want 0", allocs)
 	}
@@ -215,11 +216,11 @@ func TestRoundEngineSteadyStateZeroAllocs(t *testing.T) {
 	// swap closure is bound once when the order is armed.
 	e.setOrder(OrderRandom, 3)
 	for i := 0; i < 2000; i++ {
-		if e.round() < 1e-9 {
+		if e.round(nil) < 1e-9 {
 			break
 		}
 	}
-	allocs = testing.AllocsPerRun(50, func() { e.round() })
+	allocs = testing.AllocsPerRun(50, func() { e.round(nil) })
 	if allocs != 0 {
 		t.Fatalf("steady-state shuffled round allocates %v times, want 0", allocs)
 	}
@@ -235,7 +236,7 @@ func TestInstrumentedRoundZeroAllocs(t *testing.T) {
 	e := newRoundEngine(g, 2, DefaultBatchSize, 1e-6)
 	defer e.stop()
 	for i := 0; i < 2000; i++ {
-		if e.round() < 1e-9 {
+		if e.round(nil) < 1e-9 {
 			break
 		}
 	}
@@ -243,7 +244,7 @@ func TestInstrumentedRoundZeroAllocs(t *testing.T) {
 	// Nil-sink fast path: the off switch costs one predictable branch.
 	var off *Metrics
 	allocs := testing.AllocsPerRun(50, func() {
-		d := e.round()
+		d := e.round(nil)
 		off.observeRound(1, d, e.welfare(), e.congestion())
 	})
 	if allocs != 0 {
@@ -256,7 +257,7 @@ func TestInstrumentedRoundZeroAllocs(t *testing.T) {
 	sink := obs.NewEventSink(1024)
 	m := NewMetrics(reg, sink)
 	allocs = testing.AllocsPerRun(50, func() {
-		d := e.round()
+		d := e.round(nil)
 		m.observeRound(1, d, e.welfare(), e.congestion())
 	})
 	if allocs != 0 {
@@ -268,7 +269,10 @@ func TestInstrumentedRoundZeroAllocs(t *testing.T) {
 }
 
 func TestLevelSortedMatchesWaterFill(t *testing.T) {
+	// The kernel's uncapped level and fill are bit-identical to the
+	// WaterFill reference.
 	rng := rand.New(rand.NewSource(7))
+	var psi PaymentFunction
 	for trial := 0; trial < 500; trial++ {
 		c := 1 + rng.Intn(40)
 		others := make([]float64, c)
@@ -276,25 +280,25 @@ func TestLevelSortedMatchesWaterFill(t *testing.T) {
 			others[i] = rng.Float64() * 30
 		}
 		total := rng.Float64() * 100
-		_, want := WaterFill(others, total)
+		wantAlloc, want := WaterFill(others, total)
 
-		ws := newFillScratch(c)
-		copy(ws.others, others)
-		copy(ws.sorted, others)
-		sort.Float64s(ws.sorted)
-		ws.prefix[0] = 0
-		for k, v := range ws.sorted {
-			ws.prefix[k+1] = ws.prefix[k] + v
-		}
-		got := levelSorted(ws.sorted, ws.prefix, total)
-		if got != want {
+		psi.Reset(nil, others, 0)
+		if got := psi.level(total); got != want {
 			t.Fatalf("trial %d: levelSorted %v != WaterFill %v (c=%d total=%v)", trial, got, want, c, total)
+		}
+		got := make([]float64, c)
+		psi.Fill(got, total)
+		for i := range got {
+			if got[i] != wantAlloc[i] {
+				t.Fatalf("trial %d: Fill %v != WaterFill %v", trial, got, wantAlloc)
+			}
 		}
 	}
 }
 
 func TestCappedLevelSortedMatchesPerDrawWaterFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var psi PaymentFunction
 	for trial := 0; trial < 500; trial++ {
 		c := 1 + rng.Intn(30)
 		others := make([]float64, c)
@@ -303,16 +307,10 @@ func TestCappedLevelSortedMatchesPerDrawWaterFill(t *testing.T) {
 		}
 		cap := 0.5 + rng.Float64()*8
 		total := rng.Float64() * cap * float64(c) * 0.99
-		_, want := PerDrawWaterFill(others, cap, total)
+		wantAlloc, want := PerDrawWaterFill(others, cap, total)
 
-		ws := newFillScratch(c)
-		copy(ws.sorted, others)
-		sort.Float64s(ws.sorted)
-		ws.prefix[0] = 0
-		for k, v := range ws.sorted {
-			ws.prefix[k+1] = ws.prefix[k] + v
-		}
-		got := cappedLevelSorted(ws.sorted, ws.prefix, cap, total)
+		psi.Reset(nil, others, cap)
+		got := psi.level(total)
 		if math.Abs(got-want) > 1e-7*(1+math.Abs(want)) {
 			t.Fatalf("trial %d: cappedLevelSorted %v != PerDrawWaterFill %v (c=%d cap=%v total=%v)",
 				trial, got, want, c, cap, total)
@@ -331,6 +329,14 @@ func TestCappedLevelSortedMatchesPerDrawWaterFill(t *testing.T) {
 		}
 		if math.Abs(y-total) > 1e-9*(1+total) {
 			t.Fatalf("trial %d: level %v allocates %v, want %v", trial, got, y, total)
+		}
+		// And the kernel's row must match the reference schedule.
+		alloc := make([]float64, c)
+		psi.Fill(alloc, total)
+		for i := range alloc {
+			if math.Abs(alloc[i]-wantAlloc[i]) > 1e-7*(1+cap) {
+				t.Fatalf("trial %d: Fill %v != PerDrawWaterFill %v", trial, alloc, wantAlloc)
+			}
 		}
 	}
 }

@@ -16,6 +16,20 @@ func testCost(t *testing.T) CostFunction {
 	return SectionCost{Charging: v, Overload: OverloadPenalty{Kappa: 1, Capacity: 45}}
 }
 
+// quote returns Ψ_n re-quoted against others under drawCap.
+func quote(cost CostFunction, others []float64, drawCap float64) *PaymentFunction {
+	psi := new(PaymentFunction)
+	psi.Reset(cost, others, drawCap)
+	return psi
+}
+
+// schedule returns the water-filled allocation Ψ_n quotes for p.
+func schedule(psi *PaymentFunction, p float64) []float64 {
+	alloc := make([]float64, len(psi.others))
+	psi.Fill(alloc, p)
+	return alloc
+}
+
 func TestPaymentUnbiased(t *testing.T) {
 	// Eq. (9): ξ_n(p_−n, 0) = 0 — no power, no payment.
 	z := testCost(t)
@@ -59,13 +73,13 @@ func TestPaymentFunctionConsistentWithPayment(t *testing.T) {
 	// Ψ_n(p) must equal ξ_n evaluated at the water-filled schedule.
 	z := testCost(t)
 	others := []float64{5, 0, 12, 3}
-	psi := NewPaymentFunction(z, others)
+	psi := quote(z, others, 0)
 	costs := make([]CostFunction, len(others))
 	for i := range costs {
 		costs[i] = z
 	}
 	for _, p := range []float64{0, 1, 7.5, 40, 120} {
-		alloc := psi.Schedule(p)
+		alloc := schedule(psi, p)
 		want := Payment(costs, others, alloc)
 		if got := psi.At(p); math.Abs(got-want) > 1e-9 {
 			t.Errorf("Psi(%v) = %v, want %v", p, got, want)
@@ -74,7 +88,7 @@ func TestPaymentFunctionConsistentWithPayment(t *testing.T) {
 }
 
 func TestPaymentFunctionZeroAtZero(t *testing.T) {
-	psi := NewPaymentFunction(testCost(t), []float64{1, 2})
+	psi := quote(testCost(t), []float64{1, 2}, 0)
 	if got := psi.At(0); got != 0 {
 		t.Errorf("Psi(0) = %v", got)
 	}
@@ -84,7 +98,7 @@ func TestPaymentFunctionZeroAtZero(t *testing.T) {
 }
 
 func TestPaymentFunctionConvexIncreasing(t *testing.T) {
-	psi := NewPaymentFunction(testCost(t), []float64{2, 9, 4})
+	psi := quote(testCost(t), []float64{2, 9, 4}, 0)
 	prev, prevM := psi.At(0.5), psi.Marginal(0.5)
 	for p := 1.0; p <= 60; p++ {
 		v, m := psi.At(p), psi.Marginal(p)
@@ -101,7 +115,7 @@ func TestPaymentFunctionConvexIncreasing(t *testing.T) {
 func TestPaymentFunctionEnvelopeTheorem(t *testing.T) {
 	// Ψ'(p) computed via Z'(λ*) must match the numeric derivative of
 	// Ψ — the envelope theorem in action.
-	psi := NewPaymentFunction(testCost(t), []float64{3, 7, 11, 2})
+	psi := quote(testCost(t), []float64{3, 7, 11, 2}, 0)
 	for _, p := range []float64{2, 9, 18, 35} {
 		const h = 1e-5
 		numeric := (psi.At(p+h) - psi.At(p-h)) / (2 * h)
@@ -113,7 +127,7 @@ func TestPaymentFunctionEnvelopeTheorem(t *testing.T) {
 
 func TestPaymentFunctionSnapshotsOthers(t *testing.T) {
 	others := []float64{1, 2}
-	psi := NewPaymentFunction(testCost(t), others)
+	psi := quote(testCost(t), others, 0)
 	before := psi.At(5)
 	others[0] = 100 // mutate the caller's slice
 	if after := psi.At(5); after != before {
@@ -129,15 +143,66 @@ func TestPaymentFunctionScheduleSumsToRequest(t *testing.T) {
 		for i := range others {
 			others[i] = r.Float64() * 30
 		}
-		psi := NewPaymentFunction(testCost(t), others)
+		psi := quote(testCost(t), others, 0)
 		p := r.Float64() * 100
-		alloc := psi.Schedule(p)
+		alloc := schedule(psi, p)
 		var sum float64
 		for _, a := range alloc {
 			sum += a
 		}
 		if math.Abs(sum-p) > 1e-6*(1+p) {
 			t.Fatalf("schedule sums to %v, want %v", sum, p)
+		}
+	}
+}
+
+func TestPaymentFunctionResetRequotes(t *testing.T) {
+	// A reused Ψ must answer exactly like a fresh one after every
+	// Reset, whether the section count shrinks, grows or the cap moves.
+	z := testCost(t)
+	r := stats.NewRand(9)
+	reused := new(PaymentFunction)
+	u := LogSatisfaction{Weight: 1.3}
+	for trial := 0; trial < 200; trial++ {
+		others := make([]float64, 1+r.Intn(25))
+		for i := range others {
+			others[i] = r.Float64() * 40
+		}
+		drawCap := 0.0
+		if trial%2 == 1 {
+			drawCap = 1 + r.Float64()*10
+		}
+		reused.Reset(z, others, drawCap)
+		fresh := quote(z, others, drawCap)
+		p := r.Float64() * 80
+		if a, b := reused.BestResponse(u, 120), fresh.BestResponse(u, 120); a != b {
+			t.Fatalf("trial %d: reused best response %v != fresh %v", trial, a, b)
+		}
+		if a, b := reused.At(p), fresh.At(p); a != b {
+			t.Fatalf("trial %d: reused Psi(%v) = %v != fresh %v", trial, p, a, b)
+		}
+		got, want := schedule(reused, p), schedule(fresh, p)
+		for c := range want {
+			if got[c] != want[c] {
+				t.Fatalf("trial %d: reused fill %v != fresh %v", trial, got, want)
+			}
+		}
+	}
+}
+
+func TestPaymentFunctionReusedZeroAllocs(t *testing.T) {
+	z := testCost(t)
+	others := []float64{12, 3, 30, 7, 0, 18, 25, 9}
+	dst := make([]float64, len(others))
+	psi := quote(z, others, 0)
+	var u Satisfaction = LogSatisfaction{Weight: 2} // boxed once, as Player holds it
+	for _, drawCap := range []float64{0, 4} {
+		allocs := testing.AllocsPerRun(100, func() {
+			psi.Reset(z, others, drawCap)
+			psi.Fill(dst, psi.BestResponse(u, 60))
+		})
+		if allocs != 0 {
+			t.Fatalf("drawCap %v: reused Reset+BestResponse+Fill allocates %v times, want 0", drawCap, allocs)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func (s *Solver) Game() *Game { return s.g }
 // construction; everything else behaves as in RunParallel, and
 // Replayed counts only this solve's replays.
 func (s *Solver) Solve(opts ParallelOptions) ParallelResult {
-	return s.e.loop(opts)
+	return s.e.loop(opts, 0, nil)
 }
 
 // SetCost swaps the shared section cost function — the between-hours

@@ -23,17 +23,21 @@ func (g *Game) RunSynchronous(opts RunOptions) Result {
 	}
 
 	var res Result
+	var psi PaymentFunction
 	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, g.cfg.NumSections)
+	}
 	for res.Updates < opts.MaxUpdates {
 		// Phase 1: everyone quotes and responds against the frozen
 		// schedule.
 		var roundMax float64
 		for i := 0; i < n; i++ {
 			player := g.cfg.Players[i]
-			psi := g.QuotePayment(i)
+			psi.Reset(g.cfg.Cost, g.schedule.OthersSectionTotals(i), player.MaxSectionDrawKW)
 			before := g.schedule.OLEVTotal(i)
-			target := BestResponse(player.Satisfaction, psi, player.MaxPowerKW)
-			rows[i] = psi.Schedule(target)
+			target := psi.BestResponse(player.Satisfaction, player.MaxPowerKW)
+			psi.Fill(rows[i], target)
 			if d := abs(target - before); d > roundMax {
 				roundMax = d
 			}

@@ -218,9 +218,9 @@ func randomSplit(r *rand.Rand, c int, total float64) []float64 {
 // p > 0 — the property the best-response bisection relies on.
 func TestWaterLevelMonotone(t *testing.T) {
 	others := []float64{3, 8, 0, 15}
-	prev := WaterLevel(others, 0.1)
+	_, prev := WaterFill(others, 0.1)
 	for p := 1.0; p <= 100; p++ {
-		cur := WaterLevel(others, p)
+		_, cur := WaterFill(others, p)
 		if cur <= prev {
 			t.Fatalf("level not increasing at p=%v: %v <= %v", p, cur, prev)
 		}

@@ -57,10 +57,6 @@ type Scenario struct {
 	// core.ProjectSchedule). The linear policy is one-shot and ignores
 	// it. Dimensions must match Players × NumSections.
 	InitialSchedule *core.Schedule
-	// OnUpdate, if non-nil, observes the nonlinear game after every
-	// update (ignored by the linear policy, whose allocation is
-	// one-shot).
-	OnUpdate func(update int, g *core.Game)
 	// Metrics, if non-nil, receives solver telemetry from the round
 	// engine when Parallelism routes the nonlinear dynamics through
 	// it (see core.ParallelOptions.Metrics). The asynchronous path
@@ -81,8 +77,8 @@ type Scenario struct {
 	// solves a K-player macro game and disaggregates — the approximate
 	// engine for fleets the exact tier cannot afford. The linear policy
 	// is one-shot and ignores it. The mean-field path ignores
-	// InitialSchedule and OnUpdate (the macro game cold-starts; its
-	// rounds are population-level).
+	// InitialSchedule (the macro game cold-starts; its rounds are
+	// population-level).
 	Solver string
 	// MeanFieldClusters is the population budget K for SolverMeanField;
 	// 0 means meanfield.DefaultClusters. Ignored by the exact solver.

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -111,36 +112,44 @@ func TestBuildFleet(t *testing.T) {
 }
 
 func TestNonlinearRunBasics(t *testing.T) {
-	s := testScenario(t, 20, 30, 0.9)
-	out, err := Nonlinear{}.Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Policy != "nonlinear" {
-		t.Errorf("policy = %q", out.Policy)
-	}
-	if !out.Converged {
-		t.Error("nonlinear dynamics did not converge")
-	}
-	if out.TotalPowerKW <= 0 {
-		t.Error("no power scheduled")
-	}
-	if out.UnitPaymentPerMWh <= 0 {
-		t.Error("no payment collected")
-	}
-	if len(out.SectionTotalsKW) != 30 {
-		t.Errorf("section totals length %d", len(out.SectionTotalsKW))
-	}
-	if len(out.CongestionHistory) != out.Updates || len(out.WelfareHistory) != out.Updates {
-		t.Error("history lengths disagree with update count")
-	}
-	// Feasibility: every section within the hard cap plus the small
-	// overload the soft penalty permits.
-	cap := s.Eta * s.LineCapacityKW
-	for c, load := range out.SectionTotalsKW {
-		if load > cap*1.10 {
-			t.Errorf("section %d load %v far above capacity %v", c, load, cap)
-		}
+	// Parallelism 0 is Game.Run, 2 the round engine; both record one
+	// history entry per update.
+	for _, parallelism := range []int{0, 2} {
+		t.Run(fmt.Sprintf("parallelism%d", parallelism), func(t *testing.T) {
+			s := testScenario(t, 20, 30, 0.9)
+			s.Parallelism = parallelism
+			out, err := Nonlinear{}.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Policy != "nonlinear" {
+				t.Errorf("policy = %q", out.Policy)
+			}
+			if !out.Converged {
+				t.Error("nonlinear dynamics did not converge")
+			}
+			if out.TotalPowerKW <= 0 {
+				t.Error("no power scheduled")
+			}
+			if out.UnitPaymentPerMWh <= 0 {
+				t.Error("no payment collected")
+			}
+			if len(out.SectionTotalsKW) != 30 {
+				t.Errorf("section totals length %d", len(out.SectionTotalsKW))
+			}
+			if len(out.CongestionHistory) != out.Updates || len(out.WelfareHistory) != out.Updates {
+				t.Errorf("history lengths %d/%d disagree with update count %d",
+					len(out.CongestionHistory), len(out.WelfareHistory), out.Updates)
+			}
+			// Feasibility: every section within the hard cap plus the small
+			// overload the soft penalty permits.
+			cap := s.Eta * s.LineCapacityKW
+			for c, load := range out.SectionTotalsKW {
+				if load > cap*1.10 {
+					t.Errorf("section %d load %v far above capacity %v", c, load, cap)
+				}
+			}
+		})
 	}
 }
 

@@ -102,6 +102,8 @@ type Agent struct {
 	// degraded marks an autonomy episode in progress, so the next
 	// successful Recv counts as a reconnect.
 	degraded bool
+	// psi is the Ψ kernel re-quoted for every answered quote.
+	psi core.PaymentFunction
 }
 
 // NewAgent validates and builds an agent over an established link.
@@ -285,11 +287,8 @@ func (a *Agent) respond(ctx context.Context, quote *v2i.Quote, ownSum float64, r
 		}
 		others = compact
 	}
-	psi := core.NewPaymentFunction(cost, others)
-	if a.cfg.MaxSectionDrawKW > 0 {
-		psi = psi.WithDrawCap(a.cfg.MaxSectionDrawKW)
-	}
-	request := core.BestResponse(a.cfg.Satisfaction, psi, a.cfg.MaxPowerKW)
+	a.psi.Reset(cost, others, a.cfg.MaxSectionDrawKW)
+	request := a.psi.BestResponse(a.cfg.Satisfaction, a.cfg.MaxPowerKW)
 
 	a.seq++
 	err = v2i.SendMsg(ctx, a.link, v2i.TypeRequest, a.cfg.VehicleID, a.seq, &v2i.Request{

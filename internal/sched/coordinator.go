@@ -265,6 +265,7 @@ type SectionOutage struct {
 type Coordinator struct {
 	cfg      CoordinatorConfig
 	cost     core.CostFunction
+	psi      core.PaymentFunction // installRequest's Ψ kernel
 	links    map[string]v2i.Transport
 	schedule map[string][]float64
 
@@ -1171,27 +1172,18 @@ func (c *Coordinator) nextSeq() uint64 {
 // on Run's goroutine.
 func (c *Coordinator) installRequest(ctx context.Context, id string, round int, others []float64, req v2i.Request) (float64, error) {
 	before := sum(c.schedule[id])
-	var alloc []float64
-	var payment float64
-	if idx := c.liveIndices(); idx != nil {
-		// Dead sections take no power: water-fill and price over the
-		// compacted live vector, then scatter back with zeroed holes.
-		oc := compactTo(others, idx)
-		var ac []float64
-		if req.DrawCapKW > 0 {
-			ac, _ = core.PerDrawWaterFill(oc, req.DrawCapKW, req.TotalKW)
-		} else {
-			ac, _ = core.WaterFill(oc, req.TotalKW)
-		}
-		alloc = scatterFrom(ac, idx, c.cfg.NumSections)
-		payment = core.Payment(c.costVectorN(len(idx)), oc, ac)
-	} else {
-		if req.DrawCapKW > 0 {
-			alloc, _ = core.PerDrawWaterFill(others, req.DrawCapKW, req.TotalKW)
-		} else {
-			alloc, _ = core.WaterFill(others, req.TotalKW)
-		}
-		payment = core.Payment(c.costVector(), others, alloc)
+	// Dead sections take no power: water-fill and price over the
+	// compacted live vector, then scatter back with zeroed holes.
+	idx := c.liveIndices()
+	if idx != nil {
+		others = compactTo(others, idx)
+	}
+	c.psi.Reset(c.cost, others, req.DrawCapKW)
+	alloc := make([]float64, len(others))
+	c.psi.Fill(alloc, req.TotalKW)
+	payment := c.psi.At(req.TotalKW)
+	if idx != nil {
+		alloc = scatterFrom(alloc, idx, c.cfg.NumSections)
 	}
 	c.schedule[id] = alloc
 	c.epoch++ // the background load everyone else was quoted has moved
@@ -1352,18 +1344,6 @@ func (c *Coordinator) welfareCost() float64 {
 		total += c.cost.Cost(pc)
 	}
 	return total
-}
-
-func (c *Coordinator) costVector() []core.CostFunction {
-	return c.costVectorN(c.cfg.NumSections)
-}
-
-func (c *Coordinator) costVectorN(n int) []core.CostFunction {
-	out := make([]core.CostFunction, n)
-	for i := range out {
-		out[i] = c.cost
-	}
-	return out
 }
 
 func sum(vs []float64) float64 {

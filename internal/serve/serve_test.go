@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -303,6 +305,65 @@ func TestRestartResumesInterruptedSessions(t *testing.T) {
 	for _, d := range decisions {
 		if d.Action == ActionResume {
 			t.Fatalf("third boot still resumes %s (%s)", d.ID, d.Reason)
+		}
+	}
+}
+
+// holdTerminalManifestFS holds the rename that installs a session's
+// terminal ("done") manifest until release is closed, announcing the
+// hold on held.
+type holdTerminalManifestFS struct {
+	store.FS
+	held, release chan struct{}
+}
+
+func (f *holdTerminalManifestFS) Rename(oldpath, newpath string) error {
+	if strings.HasSuffix(newpath, ".manifest.json") {
+		if raw, err := f.FS.ReadFile(oldpath); err == nil && bytes.Contains(raw, []byte(`"state":"done"`)) {
+			close(f.held)
+			<-f.release
+		}
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// A session must not read as done before its terminal manifest is on
+// disk: a client that sees done and restarts the daemon would otherwise
+// have the boot scan resume the finished session from its stale
+// "running" manifest.
+func TestTerminalManifestLandsBeforeDoneIsPublished(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &holdTerminalManifestFS{FS: store.OS, held: make(chan struct{}), release: make(chan struct{})}
+	s := NewServer(Config{MaxSessions: 2, JournalDir: dir, FS: fsys})
+	defer s.Close()
+	sess, err := s.Create(smallSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fsys.held:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("terminal manifest never written (state %s)", sess.StateNow())
+	}
+	// The terminal manifest's rename is in flight: the state must not
+	// have been published yet.
+	st := sess.StateNow()
+	close(fsys.release)
+	if st == StateDone {
+		t.Fatal("session reads done while its terminal manifest is not yet installed")
+	}
+	waitState(t, sess, StateDone, 10*time.Second)
+
+	// Now a restart finds the terminal manifest and resumes nothing.
+	again := NewServer(Config{MaxSessions: 2, JournalDir: dir})
+	defer again.Close()
+	decisions, err := again.ResumeScanned()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range decisions {
+		if d.Action == ActionResume {
+			t.Fatalf("restart resumes finished session %s (%s)", d.ID, d.Reason)
 		}
 	}
 }

@@ -298,15 +298,17 @@ func (s *Server) List() []View {
 
 // finish moves a session to a terminal state and releases its slot.
 func (s *Server) finish(sess *Session, st State, errMsg string) {
+	if s.cfg.JournalDir != "" {
+		// The terminal manifest lands before the state is published: a
+		// client that sees the session finish and restarts the daemon
+		// must not have it resumed by the boot scan. interrupted stays
+		// resumable: the manifest keeps saying so.
+		_ = writeManifest(s.cfg.FS, s.cfg.JournalDir, sess.ID, Manifest{Spec: sess.spec, State: st})
+	}
 	sess.mu.Lock()
 	sess.state = st
 	sess.errMsg = errMsg
 	sess.mu.Unlock()
-
-	if s.cfg.JournalDir != "" {
-		// interrupted stays resumable: the manifest keeps saying so.
-		_ = writeManifest(s.cfg.FS, s.cfg.JournalDir, sess.ID, Manifest{Spec: sess.spec, State: st})
-	}
 
 	<-s.sem
 	s.mu.Lock()
