@@ -92,8 +92,9 @@ type Agent struct {
 	// after a newer one.
 	gridSeq uint64
 	// lastQuote and lastQuoteAt ground the degraded-mode fallback: the
-	// last grid state this agent saw, and when.
-	lastQuote   *v2i.Quote
+	// last grid state this agent saw, and when (zero before the first
+	// quote).
+	lastQuote   v2i.Quote
 	lastQuoteAt time.Time
 	// lastAlloc is the own schedule row the grid last confirmed (exact
 	// float bits, both wires). A batched quote that elides the own row
@@ -104,6 +105,13 @@ type Agent struct {
 	degraded bool
 	// psi is the Ψ kernel re-quoted for every answered quote.
 	psi core.PaymentFunction
+	// cost is BuildCost(costSpec), rebuilt only when a quote carries a
+	// different spec (a price-feed step).
+	costSpec v2i.CostSpec
+	cost     core.CostFunction
+	// others holds a batch quote's reconstructed P_−n and compact its
+	// live sections; both are reused across quotes.
+	others, compact []float64
 }
 
 // NewAgent validates and builds an agent over an established link.
@@ -254,8 +262,9 @@ func (a *Agent) answerBatch(ctx context.Context, env v2i.Envelope, res *AgentRes
 		}
 		a.lastAlloc = own // the grid just told us our row authoritatively
 	}
+	a.others = othersFrom(a.others, qb.Totals, own)
 	quote := v2i.Quote{
-		VehicleID: a.cfg.VehicleID, Others: othersFrom(qb.Totals, own),
+		VehicleID: a.cfg.VehicleID, Others: a.others,
 		Cost: qb.Cost, Round: qb.Round, Epoch: qb.Epoch,
 		FleetSize: qb.FleetSize, Live: qb.Live,
 	}
@@ -268,30 +277,33 @@ func (a *Agent) answerBatch(ctx context.Context, env v2i.Envelope, res *AgentRes
 // which the omitempty JSON field drops — unicast wire bytes are
 // unchanged.
 func (a *Agent) respond(ctx context.Context, quote *v2i.Quote, ownSum float64, res *AgentResult) error {
-	a.lastQuote = quote
+	a.lastQuote = *quote
 	a.lastQuoteAt = time.Now()
-	cost, err := BuildCost(quote.Cost)
-	if err != nil {
-		return err
+	if a.cost == nil || quote.Cost != a.costSpec {
+		cost, err := BuildCost(quote.Cost)
+		if err != nil {
+			return err
+		}
+		a.cost, a.costSpec = cost, quote.Cost
 	}
 	// A quote flagging dead sections prices only the live ones: the
 	// best response is computed over the compacted vector, and the
 	// grid water-fills the answer over the same live set.
 	others := quote.Others
 	if len(quote.Live) == len(others) {
-		compact := make([]float64, 0, len(others))
+		a.compact = a.compact[:0]
 		for i, ok := range quote.Live {
 			if ok {
-				compact = append(compact, others[i])
+				a.compact = append(a.compact, others[i])
 			}
 		}
-		others = compact
+		others = a.compact
 	}
-	a.psi.Reset(cost, others, a.cfg.MaxSectionDrawKW)
+	a.psi.Reset(a.cost, others, a.cfg.MaxSectionDrawKW)
 	request := a.psi.BestResponse(a.cfg.Satisfaction, a.cfg.MaxPowerKW)
 
 	a.seq++
-	err = v2i.SendMsg(ctx, a.link, v2i.TypeRequest, a.cfg.VehicleID, a.seq, &v2i.Request{
+	err := v2i.SendMsg(ctx, a.link, v2i.TypeRequest, a.cfg.VehicleID, a.seq, &v2i.Request{
 		VehicleID: a.cfg.VehicleID, TotalKW: request,
 		DrawCapKW: a.cfg.MaxSectionDrawKW, Round: quote.Round,
 		Epoch: quote.Epoch, OwnKWSum: ownSum,

@@ -41,13 +41,13 @@ type AutonomyConfig struct {
 // capacity, clamped to the vehicle's own Eq. (2)/(3) limits.
 func (a *Agent) fallbackKW(now time.Time) float64 {
 	au := a.cfg.Autonomy
-	if a.lastQuote == nil {
+	if a.lastQuoteAt.IsZero() {
 		return 0 // never saw the grid: nothing safe to assume
 	}
 	if au.StalenessTTL > 0 && now.Sub(a.lastQuoteAt) > au.StalenessTTL {
 		return 0 // state too old to trust
 	}
-	q := a.lastQuote
+	q := &a.lastQuote
 	capKW := q.Cost.OverloadCapacityKW // ηP_line when the penalty is armed
 	if capKW <= 0 {
 		capKW = q.Cost.LineCapacityKW

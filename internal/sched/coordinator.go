@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -263,11 +264,29 @@ type SectionOutage struct {
 // Coordinator runs the smart-grid side of the protocol for a dynamic
 // set of connected vehicles.
 type Coordinator struct {
-	cfg      CoordinatorConfig
-	cost     core.CostFunction
-	psi      core.PaymentFunction // installRequest's Ψ kernel
-	links    map[string]v2i.Transport
-	schedule map[string][]float64
+	cfg   CoordinatorConfig
+	cost  core.CostFunction
+	psi   core.PaymentFunction // installRequest's Ψ kernel
+	links map[string]v2i.Transport
+
+	// The schedule is one dense slab in sorted vehicle-ID order, the
+	// layout of core's round engine: ids[i] owns row i (see row), and
+	// index maps an ID back to i.
+	ids   []string
+	index map[string]int
+	rows  []float64
+	// totals is P_c. installRequest maintains it by per-section deltas;
+	// every other change to the rows (joins, departures, a dying
+	// section, a checkpoint restore or a failover projection) ends in
+	// resum, an exact re-sum in index order.
+	totals []float64
+
+	// Per-turn scratch, so a steady-state turn allocates nothing:
+	// others is the sequential turn's P_−n; liveIdx, compact and fill
+	// carry a water-fill over the live sections, and alloc its
+	// full-width scatter.
+	others, compact, fill, alloc []float64
+	liveIdx                      []int
 
 	// epoch is the schedule version: it advances on every install,
 	// join, departure, and eviction, so any quote stamped with an
@@ -290,8 +309,9 @@ type Coordinator struct {
 	// accepted ScheduleMsg). A batched quote elides the vehicle's own
 	// row only while the cached copy is bit-identical to the live row;
 	// any divergence (outage zeroing, checkpoint restore) forces the
-	// row back onto the wire. Guarded by mu: installRequest writes it
-	// from Run's goroutine while batch collection goroutines read it.
+	// row back onto the wire. installRequest refreshes the copy in
+	// place. Guarded by mu: installRequest writes it from Run's
+	// goroutine while batch collection goroutines read it.
 	sentRow map[string][]float64
 
 	joins    chan pendingJoin
@@ -374,11 +394,20 @@ func NewCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport) (*Coo
 			return nil, fmt.Errorf("sched: outage up round %d not after down round %d", o.UpRound, o.DownRound)
 		}
 	}
+	nc := cfg.NumSections
 	c := &Coordinator{
 		cfg:         cfg,
 		cost:        cost,
 		links:       links,
-		schedule:    make(map[string][]float64, len(links)),
+		ids:         make([]string, 0, len(links)),
+		index:       make(map[string]int, len(links)),
+		rows:        make([]float64, len(links)*nc),
+		totals:      make([]float64, nc),
+		others:      make([]float64, nc),
+		compact:     make([]float64, nc),
+		fill:        make([]float64, nc),
+		alloc:       make([]float64, nc),
+		liveIdx:     make([]int, 0, nc),
 		epoch:       1,
 		lastSeq:     make(map[string]uint64, len(links)),
 		consecFails: make(map[string]int, len(links)),
@@ -391,8 +420,10 @@ func NewCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport) (*Coo
 		c.live[i] = true
 	}
 	for id := range links {
-		c.schedule[id] = make([]float64, cfg.NumSections)
+		c.ids = append(c.ids, id)
 	}
+	sort.Strings(c.ids)
+	c.reindex(0)
 	if cfg.Journal != nil {
 		if cp, ok, err := cfg.Journal.Load(); err == nil && ok && c.restoreCheckpoint(cp) {
 			c.restored = true
@@ -462,12 +493,7 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 	if c.closed.Load() {
 		return Report{}, errors.New("sched: coordinator is closed")
 	}
-	ids := make([]string, 0, len(c.links))
-	for id := range c.links {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
+	ids := slices.Clone(c.ids)
 	report := Report{Requests: make(map[string]float64, len(ids))}
 	prevDelta := math.Inf(1)
 	sequentialNext := false
@@ -621,12 +647,11 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 	report.OutagesApplied = c.outagesApplied
 	report.RestoresApplied = c.restoresApplied
 	report.LiveSections = c.liveCount()
-	report.Schedule = make(map[string][]float64, len(c.schedule))
-	for id, row := range c.schedule {
+	report.Schedule = make(map[string][]float64, len(c.ids))
+	for i, id := range c.ids {
+		row := c.row(i)
 		report.Requests[id] = sum(row)
-		r := make([]float64, len(row))
-		copy(r, row)
-		report.Schedule[id] = r
+		report.Schedule[id] = slices.Clone(row)
 	}
 	c.broadcastDone(ctx, report)
 	return report, nil
@@ -729,7 +754,8 @@ func (c *Coordinator) applyOutages(round int) bool {
 func (c *Coordinator) killSection(sec int) {
 	c.live[sec] = false
 	nLive := c.liveCount()
-	for _, row := range c.schedule {
+	for i := range c.ids {
+		row := c.row(i)
 		mass := row[sec]
 		row[sec] = 0
 		if mass <= 0 || nLive == 0 {
@@ -742,6 +768,7 @@ func (c *Coordinator) killSection(sec int) {
 			}
 		}
 	}
+	c.resum()
 	c.epoch++
 }
 
@@ -784,38 +811,39 @@ func (c *Coordinator) liveCount() int {
 	return n
 }
 
-// liveIndices returns the energized sections' indices, or nil when all
-// sections are live (the fast path: no compaction needed).
+// liveIndices returns the energized sections' indices in the reused
+// liveIdx buffer, or nil when all sections are live (the fast path: no
+// compaction needed).
 func (c *Coordinator) liveIndices() []int {
 	if c.liveCount() == len(c.live) {
 		return nil
 	}
-	idx := make([]int, 0, len(c.live))
+	c.liveIdx = c.liveIdx[:0]
 	for i, ok := range c.live {
 		if ok {
-			idx = append(idx, i)
+			c.liveIdx = append(c.liveIdx, i)
 		}
 	}
-	return idx
+	return c.liveIdx
 }
 
-// compactTo gathers vs at the given indices.
-func compactTo(vs []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
+// compactTo gathers vs at the given indices into dst.
+func compactTo(dst, vs []float64, idx []int) []float64 {
+	dst = dst[:len(idx)]
 	for i, j := range idx {
-		out[i] = vs[j]
+		dst[i] = vs[j]
 	}
-	return out
+	return dst
 }
 
-// scatterFrom spreads a compacted vector back to full width, zeroes
-// elsewhere.
-func scatterFrom(vs []float64, idx []int, width int) []float64 {
-	out := make([]float64, width)
+// scatterFrom spreads a compacted vector back over dst's full width,
+// zeroes elsewhere.
+func scatterFrom(dst, vs []float64, idx []int) []float64 {
+	clear(dst)
 	for i, j := range idx {
-		out[j] = vs[i]
+		dst[j] = vs[i]
 	}
-	return out
+	return dst
 }
 
 // isDeparture reports whether an exchange failure means the vehicle's
@@ -846,8 +874,16 @@ func (c *Coordinator) breakerTrips(id string) bool {
 // Releasing power changes every other vehicle's background load, so
 // the epoch advances.
 func (c *Coordinator) removeVehicle(id string) float64 {
-	released := sum(c.schedule[id])
-	delete(c.schedule, id)
+	var released float64
+	if i, ok := c.index[id]; ok {
+		released = sum(c.row(i))
+		nc := c.cfg.NumSections
+		c.ids = slices.Delete(c.ids, i, i+1)
+		c.rows = slices.Delete(c.rows, i*nc, (i+1)*nc)
+		delete(c.index, id)
+		c.reindex(i)
+		c.resum()
+	}
 	delete(c.lastSeq, id)
 	delete(c.consecFails, id)
 	c.mu.Lock()
@@ -956,6 +992,9 @@ func (c *Coordinator) runBatchedRound(ctx context.Context, ids []string, round, 
 	reqs := make([]v2i.Request, batch)
 	errs := make([]error, batch)
 	others := make([][]float64, batch)
+	for i := range others {
+		others[i] = make([]float64, c.cfg.NumSections)
+	}
 	for lo := 0; lo < len(ids); lo += batch {
 		hi := lo + batch
 		if hi > len(ids) {
@@ -965,11 +1004,12 @@ func (c *Coordinator) runBatchedRound(ctx context.Context, ids []string, round, 
 		epoch := c.epoch
 		// One totals vector serves the whole block: every quote in it is
 		// against the same frozen background load, and on the binary
-		// wire the block shares the identical Totals payload.
-		totals := c.totalsVec()
+		// wire the block shares the identical Totals payload. Nothing
+		// writes c.totals until the collection goroutines are done.
+		totals := c.totals
 		var wg sync.WaitGroup
 		for i, id := range group {
-			others[i] = othersFrom(totals, c.schedule[id])
+			others[i] = othersFrom(others[i], totals, c.rowOf(id))
 			wg.Add(1)
 			go func(i int, id string) {
 				defer wg.Done()
@@ -1018,9 +1058,8 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
 // and returns |Δp_n|: the sequential composition of the network half
 // (collectRequest) and the scheduling half (installRequest).
 func (c *Coordinator) updateOne(ctx context.Context, id string, round int) (float64, error) {
-	totals := c.totalsVec()
-	others := othersFrom(totals, c.schedule[id])
-	req, err := c.collectRequest(ctx, id, round, others, totals, c.epoch)
+	others := othersFrom(c.others, c.totals, c.rowOf(id))
+	req, err := c.collectRequest(ctx, id, round, others, c.totals, c.epoch)
 	if err != nil {
 		return 0, err
 	}
@@ -1048,19 +1087,22 @@ func (c *Coordinator) collectRequest(ctx context.Context, id string, round int, 
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.RoundTimeout)
 	defer cancel()
 
+	// Sends encode synchronously, so the frames may carry the live mask
+	// and the schedule row themselves: neither changes while a quote is
+	// out.
 	var liveMask []bool
 	if c.liveCount() != len(c.live) {
-		liveMask = append([]bool(nil), c.live...)
+		liveMask = c.live
 	}
 	batched := totals != nil && v2i.WireOf(link) == v2i.WireBinary
 	if batched {
-		row := c.schedule[id]
+		row := c.rowOf(id)
 		var own []float64
 		if !c.rowInSync(id, row) {
-			own = append([]float64(nil), row...)
+			own = row
 		}
 		err := v2i.SendMsg(rctx, link, v2i.TypeQuoteBatch, "smart-grid", c.nextSeq(), &v2i.QuoteBatch{
-			Round: round, Epoch: epoch, FleetSize: len(c.schedule),
+			Round: round, Epoch: epoch, FleetSize: len(c.ids),
 			Cost: c.cfg.Cost, Live: liveMask, Totals: totals, Own: own,
 		})
 		if err != nil {
@@ -1069,13 +1111,13 @@ func (c *Coordinator) collectRequest(ctx context.Context, id string, round int, 
 	} else {
 		err := v2i.SendMsg(rctx, link, v2i.TypeQuote, "smart-grid", c.nextSeq(), &v2i.Quote{
 			VehicleID: id, Others: others, Cost: c.cfg.Cost, Round: round, Epoch: epoch,
-			FleetSize: len(c.schedule), Live: liveMask,
+			FleetSize: len(c.ids), Live: liveMask,
 		})
 		if err != nil {
 			return v2i.Request{}, fmt.Errorf("send quote: %w", err)
 		}
 	}
-	c.cfg.Metrics.observeQuote(id, round, epoch, len(c.schedule))
+	c.cfg.Metrics.observeQuote(id, round, epoch, len(c.ids))
 
 	var req v2i.Request
 	for {
@@ -1105,7 +1147,7 @@ func (c *Coordinator) collectRequest(ctx context.Context, id string, round int, 
 	if req.TotalKW < 0 || math.IsNaN(req.TotalKW) || math.IsInf(req.TotalKW, 0) {
 		return v2i.Request{}, fmt.Errorf("invalid request %v", req.TotalKW)
 	}
-	if batched && math.Float64bits(req.OwnKWSum) != math.Float64bits(sum(c.schedule[id])) {
+	if batched && math.Float64bits(req.OwnKWSum) != math.Float64bits(sum(c.rowOf(id))) {
 		c.mu.Lock()
 		delete(c.sentRow, id)
 		c.mu.Unlock()
@@ -1171,21 +1213,10 @@ func (c *Coordinator) nextSeq() uint64 {
 // epoch, and send the vehicle its allocation and payment. Always runs
 // on Run's goroutine.
 func (c *Coordinator) installRequest(ctx context.Context, id string, round int, others []float64, req v2i.Request) (float64, error) {
-	before := sum(c.schedule[id])
-	// Dead sections take no power: water-fill and price over the
-	// compacted live vector, then scatter back with zeroed holes.
-	idx := c.liveIndices()
-	if idx != nil {
-		others = compactTo(others, idx)
-	}
-	c.psi.Reset(c.cost, others, req.DrawCapKW)
-	alloc := make([]float64, len(others))
-	c.psi.Fill(alloc, req.TotalKW)
-	payment := c.psi.At(req.TotalKW)
-	if idx != nil {
-		alloc = scatterFrom(alloc, idx, c.cfg.NumSections)
-	}
-	c.schedule[id] = alloc
+	i := c.index[id]
+	before := sum(c.row(i))
+	payment := c.place(i, others, req)
+	alloc := c.row(i)
 	c.epoch++ // the background load everyone else was quoted has moved
 
 	sctx, cancel := context.WithTimeout(ctx, c.cfg.RoundTimeout)
@@ -1196,14 +1227,50 @@ func (c *Coordinator) installRequest(ctx context.Context, id string, round int, 
 	if err != nil {
 		return 0, fmt.Errorf("send schedule: %w", err)
 	}
-	// The vehicle now holds this exact row (both wires transmit exact
-	// float bits), so future batch quotes may elide it. Cache a copy —
-	// outage handling mutates schedule rows in place.
-	c.mu.Lock()
-	c.sentRow[id] = append([]float64(nil), alloc...)
-	c.mu.Unlock()
+	c.ackRow(id, alloc)
 	c.cfg.Metrics.observePropose(id, round, c.epoch, req.TotalKW)
 	return math.Abs(req.TotalKW - before), nil
+}
+
+// ackRow records that the vehicle now holds this exact row (both wires
+// transmit exact float bits), so future batch quotes may elide it. It
+// caches a copy — outage handling mutates schedule rows in place — in
+// the vehicle's existing buffer.
+func (c *Coordinator) ackRow(id string, row []float64) {
+	c.mu.Lock()
+	c.sentRow[id] = append(c.sentRow[id][:0], row...)
+	c.mu.Unlock()
+}
+
+// place water-fills req against the quoted background others and
+// installs the allocation into slab row i, maintaining P_c by
+// per-section deltas; it returns the payment Ψ_n(p_n). Dead sections
+// take no power: the fill and the price run over the compacted live
+// vector, and the row gets zeroed holes.
+func (c *Coordinator) place(i int, others []float64, req v2i.Request) float64 {
+	idx := c.liveIndices()
+	if idx != nil {
+		others = compactTo(c.compact, others, idx)
+	}
+	c.psi.Reset(c.cost, others, req.DrawCapKW)
+	alloc := c.fill[:len(others)]
+	c.psi.Fill(alloc, req.TotalKW)
+	payment := c.psi.At(req.TotalKW)
+	if idx != nil {
+		alloc = scatterFrom(c.alloc, alloc, idx)
+	}
+	row := c.row(i)
+	for s, v := range alloc {
+		if v != row[s] {
+			// Out with the old value, clamped against float drift as
+			// othersFrom clamps, then in with the new: a vehicle alone
+			// on a section keeps P_c equal to its own row bit for bit,
+			// so its P_−n there stays exactly 0.
+			c.totals[s] = max(c.totals[s]-row[s], 0) + v
+			row[s] = v
+		}
+	}
+	return payment
 }
 
 // saveCheckpoint journals the converged schedule as the new
@@ -1221,12 +1288,10 @@ func (c *Coordinator) saveCheckpoint(round int) bool {
 		Round:       round,
 		NumSections: c.cfg.NumSections,
 		Seq:         seq,
-		Schedule:    make(map[string][]float64, len(c.schedule)),
+		Schedule:    make(map[string][]float64, len(c.ids)),
 	}
-	for id, row := range c.schedule {
-		r := make([]float64, len(row))
-		copy(r, row)
-		cp.Schedule[id] = r
+	for i, id := range c.ids {
+		cp.Schedule[id] = slices.Clone(c.row(i))
 	}
 	saved := c.cfg.Journal.Save(cp) == nil
 	if m := c.cfg.Metrics; m != nil && saved {
@@ -1257,13 +1322,14 @@ func (c *Coordinator) restoreCheckpoint(cp Checkpoint) bool {
 	if cp.NumSections != c.cfg.NumSections {
 		return false
 	}
-	for id := range c.schedule {
-		row := make([]float64, c.cfg.NumSections)
+	for i, id := range c.ids {
+		row := c.row(i)
+		clear(row)
 		if saved, ok := cp.Schedule[id]; ok && len(saved) == c.cfg.NumSections {
 			copy(row, saved)
 		}
-		c.schedule[id] = row
 	}
+	c.resum()
 	if cp.Epoch >= c.epoch {
 		c.epoch = cp.Epoch
 	}
@@ -1286,47 +1352,59 @@ func (c *Coordinator) broadcastDone(ctx context.Context, report Report) {
 	}
 }
 
-// totalsVec returns the full P_c vector, accumulated in sorted
-// vehicle-ID order. The order matters: float addition is not
-// associative, so a map-order sum would make the schedule's arithmetic
-// nondeterministic run to run — and the batched wire derives each
-// vehicle's background load as totals − own, which only reproduces the
-// unicast quote bit for bit when both sides build totals the same way.
-func (c *Coordinator) totalsVec() []float64 {
-	ids := make([]string, 0, len(c.schedule))
-	for id := range c.schedule {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]float64, c.cfg.NumSections)
-	for _, id := range ids {
-		for i, v := range c.schedule[id] {
-			out[i] += v
-		}
-	}
-	return out
+// row returns vehicle i's live schedule row, a window on the slab.
+func (c *Coordinator) row(i int) []float64 {
+	nc := c.cfg.NumSections
+	return c.rows[i*nc : (i+1)*nc : (i+1)*nc]
 }
 
-// othersFrom derives P_−n as totals − own, elementwise. This is the
+// rowOf returns the live schedule row of a registered vehicle.
+func (c *Coordinator) rowOf(id string) []float64 { return c.row(c.index[id]) }
+
+// reindex refreshes index for every slab position from i on, after an
+// insertion or deletion shifted them.
+func (c *Coordinator) reindex(i int) {
+	for ; i < len(c.ids); i++ {
+		c.index[c.ids[i]] = i
+	}
+}
+
+// addRow inserts a vehicle's row at its sorted position in the slab,
+// seeded from seed (zero when nil). The caller re-sums.
+func (c *Coordinator) addRow(id string, seed []float64) {
+	nc := c.cfg.NumSections
+	i, _ := slices.BinarySearch(c.ids, id)
+	c.ids = slices.Insert(c.ids, i, id)
+	c.rows = slices.Insert(c.rows, i*nc, make([]float64, nc)...)
+	copy(c.row(i), seed)
+	c.reindex(i)
+}
+
+// resum rebuilds P_c exactly from the slab, accumulating rows in index
+// (sorted vehicle-ID) order. The order matters: float addition is not
+// associative, and a fixed order keeps the schedule's arithmetic
+// deterministic run to run.
+func (c *Coordinator) resum() {
+	clear(c.totals)
+	for i := range c.ids {
+		for s, v := range c.row(i) {
+			c.totals[s] += v
+		}
+	}
+}
+
+// othersFrom writes P_−n = totals − own into dst, elementwise, clamped
+// at 0 against float drift (as core's round engine and
+// Schedule.OthersSectionTotals clamp), and returns it. This is the
 // exact arithmetic a batch-quoted agent performs locally, so the
 // coordinator uses the same derivation on the unicast path — the two
 // wires then quote bit-identical background loads.
-func othersFrom(totals, own []float64) []float64 {
-	out := append([]float64(nil), totals...)
-	for i := range out {
-		out[i] -= own[i]
+func othersFrom(dst, totals, own []float64) []float64 {
+	dst = dst[:0]
+	for i, t := range totals {
+		dst = append(dst, max(t-own[i], 0))
 	}
-	return out
-}
-
-// othersTotals returns P_−n per section.
-func (c *Coordinator) othersTotals(id string) []float64 {
-	return othersFrom(c.totalsVec(), c.schedule[id])
-}
-
-// SectionTotals returns the current P_c vector.
-func (c *Coordinator) SectionTotals() []float64 {
-	return c.totalsVec()
+	return dst
 }
 
 // CongestionDegree returns Σp / ΣP_line.
@@ -1335,12 +1413,12 @@ func (c *Coordinator) CongestionDegree() float64 {
 }
 
 func (c *Coordinator) totalPower() float64 {
-	return sum(c.SectionTotals())
+	return sum(c.totals)
 }
 
 func (c *Coordinator) welfareCost() float64 {
 	var total float64
-	for _, pc := range c.SectionTotals() {
+	for _, pc := range c.totals {
 		total += c.cost.Cost(pc)
 	}
 	return total

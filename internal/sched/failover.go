@@ -281,19 +281,19 @@ func ResumeCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport, t 
 		}
 		// The coordinator holds no private vehicle constraints — the
 		// first best response re-imposes them — so project with
-		// unbounded players.
-		players := make([]core.Player, 0, len(links))
-		for id := range links {
-			players = append(players, core.Player{ID: id, MaxPowerKW: math.Inf(1)})
+		// unbounded players, in slab order.
+		players := make([]core.Player, len(c.ids))
+		for i, id := range c.ids {
+			players[i] = core.Player{ID: id, MaxPowerKW: math.Inf(1)}
 		}
-		sort.Slice(players, func(i, j int) bool { return players[i].ID < players[j].ID })
 		proj, err := core.ProjectSchedule(prev, ids, players, cfg.NumSections)
 		if err != nil {
 			return nil, fmt.Errorf("sched: resume projection: %w", err)
 		}
-		for i, p := range players {
-			c.schedule[p.ID] = proj.Row(i)
+		for i := range players {
+			copy(c.row(i), proj.Row(i))
 		}
+		c.resum()
 		c.restored = true
 	}
 	if t.Epoch > c.epoch {

@@ -65,7 +65,7 @@ func (c *Coordinator) admitJoins(report *Report) []string {
 				continue
 			}
 			c.links[j.id] = j.link
-			row := make([]float64, c.cfg.NumSections)
+			var seed []float64
 			if c.cfg.Journal != nil {
 				if !cpLoaded {
 					cp, cpOK, _ = c.cfg.Journal.Load()
@@ -73,11 +73,11 @@ func (c *Coordinator) admitJoins(report *Report) []string {
 				}
 				if cpOK && cp.NumSections == c.cfg.NumSections {
 					if saved, ok := cp.Schedule[j.id]; ok && len(saved) == c.cfg.NumSections {
-						copy(row, saved)
+						seed = saved
 					}
 				}
 			}
-			c.schedule[j.id] = row
+			c.addRow(j.id, seed)
 			c.lastSeq[j.id] = 0
 			c.consecFails[j.id] = 0
 			c.epoch++ // quotes must reflect the newcomer's load
@@ -87,6 +87,9 @@ func (c *Coordinator) admitJoins(report *Report) []string {
 			}
 			added = append(added, j.id)
 		default:
+			if len(added) > 0 {
+				c.resum()
+			}
 			return added
 		}
 	}
@@ -108,7 +111,8 @@ func (c *Coordinator) AddVehicle(id string, link v2i.Transport) error {
 		return fmt.Errorf("sched: vehicle %q already registered", id)
 	}
 	c.links[id] = link
-	c.schedule[id] = make([]float64, c.cfg.NumSections)
+	c.addRow(id, nil)
+	c.resum()
 	c.lastSeq[id] = 0
 	c.consecFails[id] = 0
 	c.epoch++

@@ -52,12 +52,12 @@ func TestAdmitJoinsSeedsRejoinFromJournal(t *testing.T) {
 	}
 
 	want := []float64{1, 2, 3, 4}
-	for i, v := range coord.schedule["ev-rejoin"] {
+	for i, v := range coord.rowOf("ev-rejoin") {
 		if v != want[i] {
 			t.Errorf("rejoin section %d seeded %v, want journaled %v", i, v, want[i])
 		}
 	}
-	for i, v := range coord.schedule["ev-new"] {
+	for i, v := range coord.rowOf("ev-new") {
 		if v != 0 {
 			t.Errorf("new vehicle section %d seeded %v, want 0", i, v)
 		}
@@ -83,7 +83,7 @@ func TestAdmitJoinsSeedsRejoinFromJournal(t *testing.T) {
 	}
 	var r2 Report
 	coord2.admitJoins(&r2)
-	for i, v := range coord2.schedule["ev-rejoin"] {
+	for i, v := range coord2.rowOf("ev-rejoin") {
 		if v != 0 {
 			t.Errorf("mismatched checkpoint leaked into section %d: %v", i, v)
 		}
