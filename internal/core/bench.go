@@ -6,7 +6,7 @@ import (
 )
 
 // SteadyStateBench is one solver's measurement from BenchSteadyState;
-// cmd/bench-core serializes a set of these into BENCH_core.json.
+// `olevgrid-bench core` serializes a set of these into BENCH_core.json.
 type SteadyStateBench struct {
 	// Parallelism is the worker count the engine ran with.
 	Parallelism int `json:"parallelism"`
@@ -74,7 +74,7 @@ func BenchSteadyState(g *Game, parallelism, maxRounds, steadyRounds int, tol flo
 }
 
 // MetricsOverheadBench quantifies what arming the obs bundle costs the
-// steady-state hot path; cmd/bench-core gates it at ≤ 3% under -check.
+// steady-state hot path; `olevgrid-bench core` bounds it at ≤ 3%.
 type MetricsOverheadBench struct {
 	// Parallelism is the engine's worker count during the probe.
 	Parallelism int `json:"parallelism"`

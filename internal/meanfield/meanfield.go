@@ -33,7 +33,7 @@
 // The exact engine remains the reference oracle: differential_test.go
 // gates the welfare and per-section schedule error of this tier
 // against core.RunParallel on overlapping fleet sizes, and
-// cmd/bench-meanfield gates the scaling claim (per-player cost
+// `olevgrid-bench meanfield` gates the scaling claim (per-player cost
 // sub-linear up to N = 10^6) in CI.
 package meanfield
 

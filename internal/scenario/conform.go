@@ -8,9 +8,9 @@ import (
 )
 
 // Conformance is one archetype's measured outcome against its
-// declared envelope — the machine-readable row cmd/scenario-conform
-// emits and CI gates. Each gate is reported individually so a
-// failure says which promise broke, not just that one did.
+// declared envelope — the machine-readable row `olevgrid-bench
+// scenario` emits and CI gates. Each gate is reported individually so
+// a failure says which promise broke, not just that one did.
 type Conformance struct {
 	Name string `json:"name"`
 	Seed int64  `json:"seed"`

@@ -86,7 +86,7 @@ func runDay(t *testing.T, s Spec) float64 {
 }
 
 // TestConformRegisteredArchetypes is the in-tree mirror of the
-// cmd/scenario-conform CI gate: every registered archetype passes
+// `olevgrid-bench scenario` CI gate: every registered archetype passes
 // every declared gate end to end, including blackout-recovery's
 // vs-clean day comparison.
 func TestConformRegisteredArchetypes(t *testing.T) {

@@ -11,7 +11,7 @@
 //
 // The point is regression surface: "the pricing policy flattens a
 // rush-hour surge" stops being an anecdote from ad-hoc CLI flags and
-// becomes a named, machine-checked claim — cmd/scenario-conform runs
+// becomes a named, machine-checked claim — `olevgrid-bench scenario` runs
 // every registered archetype and gates its envelope in CI, the same
 // move that makes the demand-shaping results of the source paper's
 // evaluation falsifiable here.

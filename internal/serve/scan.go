@@ -123,7 +123,7 @@ type Decision struct {
 func ScanJournals(dir string) ([]Decision, error) { return ScanJournalsFS(store.OS, dir) }
 
 // ScanJournalsFS is ScanJournals over an injected filesystem — the
-// seam cmd/crash-store recovers thousands of FaultFS crash images
+// seam `olevgrid-bench store` recovers thousands of FaultFS crash images
 // through.
 func ScanJournalsFS(fsys store.FS, dir string) ([]Decision, error) {
 	if fsys == nil {

@@ -3,7 +3,7 @@
 // sessions (one per arterial/fleet, exactly the per-arterial games of
 // the source paper) behind admission control, backpressure, graceful
 // drain, and crash-restart. cmd/olevgridd wraps it in a process;
-// cmd/olevgrid-load proves its SLOs under load and chaos. See
+// `olevgrid-bench serve` proves its SLOs under load and chaos. See
 // DESIGN.md §12 for the session lifecycle state machine and the
 // admission/drain policies.
 package serve

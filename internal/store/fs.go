@@ -19,7 +19,7 @@
 //     seeded deterministic fault injector (FaultFS) that models the
 //     page cache, so short writes, ENOSPC, fsync failures, bit-flips
 //     and crashes at arbitrary operation boundaries are exercised in
-//     ordinary `go test` and by the cmd/crash-store harness.
+//     ordinary `go test` and by the `olevgrid-bench store` gate.
 //
 // See DESIGN.md §15 for the record framing, the compaction state
 // machine, and the crash matrix the recovery tests walk.

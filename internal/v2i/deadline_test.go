@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -140,4 +142,53 @@ func asNetTimeout(err error, ne *net.Error) bool {
 		return true
 	}
 	return errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// TestPipePairUnreachableAfterClose: a NewPipePair whose last exchange
+// armed 30 s deadlines must become garbage as soon as both ends are
+// closed, in either order. net.Pipe arms each deadline as a
+// time.AfterFunc that points into the pipe, and neither Close nor a
+// Set*Deadline after either end closed stops it, so without the
+// shared close path the pair stays reachable for the full 30 s.
+func TestPipePairUnreachableAfterClose(t *testing.T) {
+	for _, firstClosed := range []string{"sender", "receiver"} {
+		t.Run(firstClosed+"-first", func(t *testing.T) {
+			var collected atomic.Int32
+			func() {
+				a, b := NewPipePair(WireBinary)
+				for _, tr := range []Transport{a, b} {
+					runtime.SetFinalizer(tr.(*tcpTransport).conn.(*pipeConn).Conn, func(net.Conn) { collected.Add(1) })
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				env, err := Seal(TypeBye, "grid", 1, &Bye{Reason: "done"})
+				if err != nil {
+					t.Fatalf("seal: %v", err)
+				}
+				// One exchange arms a's write deadline and b's read
+				// deadline, both 30 s out.
+				errc := make(chan error, 1)
+				go func() { _, err := b.Recv(ctx); errc <- err }()
+				if err := a.Send(ctx, env); err != nil {
+					t.Fatalf("send: %v", err)
+				}
+				if err := <-errc; err != nil {
+					t.Fatalf("recv: %v", err)
+				}
+				first, second := a, b
+				if firstClosed == "receiver" {
+					first, second = b, a
+				}
+				_ = first.Close()
+				_ = second.Close()
+			}()
+			for i := 0; i < 10 && collected.Load() < 2; i++ {
+				runtime.GC()
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := collected.Load(); got != 2 {
+				t.Fatalf("%d of 2 pipe ends collected after close; an armed deadline timer still holds the pair", got)
+			}
+		})
+	}
 }

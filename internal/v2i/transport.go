@@ -304,7 +304,59 @@ func DialWireTimeouts(ctx context.Context, addr string, w Wire, to Timeouts) (Tr
 // consuming file descriptors.
 func NewPipePair(w Wire) (Transport, Transport) {
 	ca, cb := net.Pipe()
-	return newPresetConn(ca, w), newPresetConn(cb, w)
+	ends := &pipeEnds{a: ca, b: cb}
+	return newPresetConn(&pipeConn{Conn: ca, ends: ends}, w), newPresetConn(&pipeConn{Conn: cb, ends: ends}, w)
+}
+
+// pipeEnds is the close path a NewPipePair's two ends share. net.Pipe
+// arms a deadline as a time.AfterFunc whose closure points into the
+// pipe; Close does not stop that timer, and once either end has
+// closed, Set*Deadline fails without stopping it either. A finished
+// pair would then stay reachable until its last deadline expires — a
+// whole RoundTimeout for a coordinator's links. So the first Close
+// clears both ends' deadlines, under a lock that keeps either end from
+// arming a new one in between.
+type pipeEnds struct {
+	mu     sync.Mutex
+	closed bool
+	a, b   net.Conn
+}
+
+// pipeConn is one end of a NewPipePair.
+type pipeConn struct {
+	net.Conn
+	ends *pipeEnds
+}
+
+func (c *pipeConn) SetReadDeadline(t time.Time) error {
+	c.ends.mu.Lock()
+	defer c.ends.mu.Unlock()
+	if c.ends.closed {
+		return io.ErrClosedPipe // what net.Pipe returns once either end closed
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *pipeConn) SetWriteDeadline(t time.Time) error {
+	c.ends.mu.Lock()
+	defer c.ends.mu.Unlock()
+	if c.ends.closed {
+		return io.ErrClosedPipe
+	}
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *pipeConn) Close() error {
+	e := c.ends
+	e.mu.Lock()
+	if !e.closed {
+		e.closed = true
+		// Neither end has closed yet, so clearing cannot fail.
+		_ = e.a.SetDeadline(time.Time{})
+		_ = e.b.SetDeadline(time.Time{})
+	}
+	e.mu.Unlock()
+	return c.Conn.Close()
 }
 
 func newPresetConn(conn net.Conn, w Wire) *tcpTransport {
